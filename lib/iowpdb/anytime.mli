@@ -12,8 +12,8 @@
       table, apply cache and negation cache carry over — recompiling a
       grown lineage hits the caches for every sub-function already built;
     - the fact alphabet of Proposition 6.1 is extended in place (variable
-      [i] is the [i]-th enumerated fact at every step) under a stable
-      first-use variable order;
+      [i] is the [i]-th enumerated fact at every step) under a
+      newest-first variable order;
     - for sentences that are a pure quantifier chain over a
       quantifier-free matrix (the common [exists x1...xk. psi] /
       [forall x1...xk. psi] shapes), a step only compiles the {e delta}
@@ -23,20 +23,25 @@
       were already in the evaluation domain), the step falls back to a
       full recompile in the shared manager, which is always sound.
 
+    That machinery is {!Session}'s, shared with {!Delta_eval}.
+
     After every step the session emits a certified {!Interval.t}
     enclosure of [P(Q)] (same claim-(∗) argument as {!Approx_eval}).
     Because the classical engines evaluate over the active domain of the
     truncated table — a semantics that moves as the prefix deepens — the
     session evaluates each step over the prefix domain padded with
-    [quantifier_rank phi] fresh inert values, realizing the r-equivalence
-    argument behind Proposition 6.1: a world supported inside the prefix
-    then evaluates identically over every larger domain, so all per-step
-    enclosures bound the {e same} limit probability and intersecting them
-    is sound.  The reported interval is that running intersection, hence
-    monotonically narrowing.  Queries using the built-in order [Cmp]
-    break the interchangeability of inert values; for them each step's
-    interval is a certificate about that step's truncated semantics only,
-    and no intersection is performed.
+    [quantifier_rank phi] fresh inert values ({!Padding}), realizing the
+    r-equivalence argument behind Proposition 6.1: a world supported
+    inside the prefix then evaluates identically over every larger
+    domain, so all per-step enclosures bound the {e same} limit
+    probability and intersecting them is sound.  The reported interval
+    is that running intersection, hence monotonically narrowing.
+    Queries using the built-in order [Cmp] break the interchangeability
+    of inert values; they are evaluated {e unpadded}, over the prefix's
+    active domain and the query's constants (the truncated semantics
+    {!Approx_eval.boolean} uses); each step's interval is a certificate
+    about that step's truncated semantics only, so no intersection is
+    performed.
 
     The session stops as soon as the width is at most [2 * eps], or a
     step / node / prefix budget is hit, or the enumeration is exhausted

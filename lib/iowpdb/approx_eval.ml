@@ -47,32 +47,12 @@ let truncate_or_fail ?max_n src ~eps =
 (* The truncated table stands in for the countable limit space, so
    quantifiers must not be decided on the accidentally small truncated
    domain: a universal sentence that happens to hold on the prefix's
-   active domain can be false on every deeper truncation.  Padding the
-   evaluation domain with [quantifier_rank phi] inert values — occurring
-   in no fact and distinct from the query's constants — makes each
-   world's truth value stable under further truncation (the r-equivalence
+   active domain can be false on every deeper truncation.  {!Padding}
+   extends the evaluation domain with inert values, making each world's
+   truth value stable under further truncation (the r-equivalence
    device of Proposition 6.1); {!Anytime} applies the same device
-   incrementally.  [Cmp] atoms can distinguish inert values, so those
-   queries are evaluated unpadded (as {!Anytime} also refuses them). *)
-let padding table phi =
-  let rank = Fo.quantifier_rank phi in
-  if rank = 0 || Fo.has_cmp phi then []
-  else begin
-    let avoid =
-      Fo.constants phi
-      @ List.concat_map (fun f -> Fact.args f) (Ti_table.support table)
-    in
-    let rec choose attempt =
-      let cand =
-        List.init rank (fun i ->
-            Value.Str (Printf.sprintf "\x00pad.%d.%d" attempt i))
-      in
-      if List.exists (fun v -> List.exists (Value.equal v) avoid) cand then
-        choose (attempt + 1)
-      else cand
-    in
-    choose 0
-  end
+   incrementally.  [Cmp] queries are evaluated unpadded. *)
+let padding table phi = Padding.for_query (Ti_table.support table) phi
 
 (* P(Omega_n) = prod_{i>=n} (1 - p_i): none of the truncated facts
    occurs.  Lower bound from claim (∗), upper bound trivially 1 minus

@@ -136,26 +136,7 @@ let truncation_for t ~eps =
   | None -> invalid_arg "Completion: tail does not certify eps"
 
 (* Same inert-padding device as Approx_eval / Anytime: the truncated
-   completion stands in for the limit space, so quantifiers get
-   [quantifier_rank phi] fresh values that occur in no fact.  Unpadded
-   for [Cmp] queries, which can distinguish inert values. *)
-let padding facts phi =
-  let rank = Fo.quantifier_rank phi in
-  if rank = 0 || Fo.has_cmp phi then []
-  else begin
-    let avoid = Fo.constants phi @ List.concat_map Fact.args facts in
-    let rec choose attempt =
-      let cand =
-        List.init rank (fun i ->
-            Value.Str (Printf.sprintf "\x00pad.%d.%d" attempt i))
-      in
-      if List.exists (fun v -> List.exists (Value.equal v) avoid) cand then
-        choose (attempt + 1)
-      else cand
-    in
-    choose 0
-  end
-
+   completion stands in for the limit space ({!Padding}). *)
 let sentence_prob_truncated ?tick t ~n phi =
   let news = Fact_source.prefix t.news n in
   let new_prob =
@@ -164,7 +145,7 @@ let sentence_prob_truncated ?tick t ~n phi =
   let orig_facts = Finite_pdb.fact_universe t.original in
   let all_facts = orig_facts @ List.map fst news in
   let alpha = Lineage.alphabet all_facts in
-  let lin = Lineage.of_sentence ~extra:(padding all_facts phi) alpha phi in
+  let lin = Lineage.of_sentence ~extra:(Padding.for_query all_facts phi) alpha phi in
   let order =
     let tbl = Hashtbl.create 64 in
     List.iteri (fun rank v -> Hashtbl.add tbl v rank)

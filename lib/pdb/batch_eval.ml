@@ -45,35 +45,9 @@ end)
 (* Once-per-batch inert padding at the maximum quantifier rank over the
    padded members: k >= quantifier_rank phi inert values decide phi
    exactly as quantifier_rank phi do (r-equivalence, Proposition 6.1),
-   so one padding serves every non-[Cmp] member.  The candidate values
-   live in their own "\x01batch.pad" namespace and retry on collision
-   with any support value, member constant, or caller-supplied extra. *)
-let padding ?(extra = []) table queries =
-  let rank =
-    Array.fold_left
-      (fun acc phi ->
-        if Fo.has_cmp phi then acc
-        else Stdlib.max acc (Fo.quantifier_rank phi))
-      0 queries
-  in
-  if rank = 0 then []
-  else begin
-    let avoid =
-      extra
-      @ List.concat_map (fun f -> Fact.args f) (Ti_table.support table)
-      @ List.concat_map Fo.constants (Array.to_list queries)
-    in
-    let rec choose attempt =
-      let cand =
-        List.init rank (fun i ->
-            Value.Str (Printf.sprintf "\x01batch.pad.%d.%d" attempt i))
-      in
-      if List.exists (fun v -> List.exists (Value.equal v) avoid) cand then
-        choose (attempt + 1)
-      else cand
-    in
-    choose 0
-  end
+   so one padding serves every non-[Cmp] member. *)
+let padding ?extra table queries =
+  Padding.for_queries ?extra (Ti_table.support table) queries
 
 module Make (C : Prob.CARRIER) = struct
   let batch ?(extra_domain = []) ?tick ?on_free ?cache_size ?gc_threshold

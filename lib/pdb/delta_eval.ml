@@ -81,96 +81,16 @@ let c_recompiled = Stats.counter "delta.apply.recompiled"
 let c_folds = Stats.counter "delta.wmc.folds"
 let c_fold_nodes = Stats.counter "delta.wmc.nodes_recomputed"
 
-(* -------------------- shape analysis --------------------
-
-   Same quantifier-chain analysis as the anytime session: a sentence
-   [Q x1 ... xk. matrix] with a quantifier-free matrix and distinct
-   bound names can absorb a fact with a fresh constant by joining the
-   lineage of only the fresh ground instances onto the root. *)
-
-type chain_kind = Ch_exists | Ch_forall
-
-type shape =
-  | Chain of chain_kind * string list * Fo.t
-  | Opaque
-
-let shape_of phi =
-  let rec strip kind acc = function
-    | Fo.Exists (x, f) when kind = Ch_exists -> strip kind (x :: acc) f
-    | Fo.Forall (x, f) when kind = Ch_forall -> strip kind (x :: acc) f
-    | f -> (List.rev acc, f)
-  in
-  let chain kind =
-    let xs, matrix = strip kind [] phi in
-    if
-      Fo.is_quantifier_free matrix
-      && List.length xs = List.length (List.sort_uniq String.compare xs)
-    then Chain (kind, xs, matrix)
-    else Opaque
-  in
-  match phi with
-  | Fo.Exists _ -> chain Ch_exists
-  | Fo.Forall _ -> chain Ch_forall
-  | _ -> if Fo.is_quantifier_free phi then Chain (Ch_exists, [], phi) else Opaque
-
-(* Inert padding values under a name no dataset uses; collisions with
-   incoming facts are still detected and resolved by re-choosing (the
-   namespace differs from Anytime's so stacked sessions never share
-   padding identities). *)
-let rec choose_padding ~avoid ~attempt k =
-  let cand =
-    List.init k (fun i ->
-        Value.Str (Printf.sprintf "\x01delta.pad.%d.%d" attempt i))
-  in
-  if List.exists (fun v -> VSet.mem v avoid) cand then
-    choose_padding ~avoid ~attempt:(attempt + 1) k
-  else (VSet.of_list cand, attempt)
-
-let fact_args f = Fact.args f
-
-(* All k-tuples over [dom] using at least one value outside [old_dom] —
-   the ground instances the previous diagram could not mention. *)
-let fresh_tuples k dom old_dom =
-  let rec go k =
-    if k = 0 then Seq.return ([], false)
-    else
-      Seq.concat_map
-        (fun (rest, has_fresh) ->
-          Seq.map
-            (fun v -> (v :: rest, has_fresh || not (VSet.mem v old_dom)))
-            (List.to_seq dom))
-        (go (k - 1))
-  in
-  Seq.filter_map
-    (fun (vals, has_fresh) -> if has_fresh then Some vals else None)
-    (go k)
-
-let adom_union acc facts =
-  List.fold_left
-    (fun acc f ->
-      List.fold_left (fun acc v -> VSet.add v acc) acc (fact_args f))
-    acc facts
-
 (* -------------------- TI sessions -------------------- *)
 
 module Make (C : Prob.CARRIER) = struct
   type t = {
-    phi : Fo.t;
-    shape : shape;
+    core : Session.t;  (* lineage, alphabet, domain and padding *)
     cmp_free : bool;
-    pad_count : int;
     tail : float;
-    mgr : Bdd.manager;
     memo : C.t Bdd.prob_memo;
-    gc_ran : bool ref;  (* set by the manager's on_free hook *)
     mutable tbl : Ti_table.t;
-    mutable afacts_rev : Fact.t list;  (* alphabet facts, newest first *)
-    mutable alpha : Lineage.alphabet;
     mutable weights : C.t array;  (* variable -> current marginal *)
-    mutable adom : VSet.t;  (* constants ∪ values ever seen (grow-only) *)
-    mutable padding : VSet.t;
-    mutable pad_attempt : int;
-    mutable bdd : Bdd.t;  (* the session root, always protected *)
     mutable dirty : ISet.t;  (* weight-patched vars since last fold *)
     mutable memo_valid : bool;  (* false after a variable rebind *)
     mutable cached : C.t option;
@@ -179,66 +99,26 @@ module Make (C : Prob.CARRIER) = struct
 
   let weight_of p = C.of_rational p
 
-  let compile_full t =
-    Bdd.of_expr t.mgr
-      (Lineage.of_sentence ~extra:(VSet.elements t.padding) t.alpha t.phi)
-
   let rebuild_weights t =
+    let alpha = Session.alphabet t.core in
     t.weights <-
-      Array.init (Lineage.alphabet_size t.alpha) (fun v ->
-          weight_of (Ti_table.prob t.tbl (Lineage.fact_of_var t.alpha v)))
+      Array.init (Lineage.alphabet_size alpha) (fun v ->
+          weight_of (Ti_table.prob t.tbl (Lineage.fact_of_var alpha v)))
 
-  (* Publish a new root: protect-then-release keeps a GC between the two
-     from sweeping the incoming diagram. *)
-  let set_root t bdd =
-    if not (Bdd.equal bdd t.bdd) then begin
-      Bdd.protect bdd;
-      Bdd.release t.bdd;
-      t.bdd <- bdd
-    end;
-    ignore (Bdd.maybe_gc t.mgr)
-
-  let create ?(tail = 0.0) ?cache_size ?(gc_threshold = 1 lsl 16) tbl phi =
+  let create ?(tail = 0.0) ?cache_size ?gc_threshold tbl phi =
     if Fo.free_vars phi <> [] then
       invalid_arg "Delta_eval: query must be a sentence";
     if not (tail >= 0.0 && tail < 1.0) then
       invalid_arg "Delta_eval: tail must lie in [0, 1)";
-    let gc_ran = ref false in
-    (* Newest-first order: later inserts sit closer to the root, so
-       delta-joins extend the diagram at the top and weight patches on
-       recent facts dirty only a shallow slice. *)
-    let mgr =
-      Bdd.manager
-        ~order:(fun v -> -v)
-        ~on_free:(fun n -> if n > 0 then gc_ran := true)
-        ?cache_size ~gc_threshold ()
-    in
-    let cmp_free = not (Fo.has_cmp phi) in
-    let facts = Ti_table.support tbl in
-    let adom = adom_union (VSet.of_list (Fo.constants phi)) facts in
-    let pad_count = if cmp_free then Fo.quantifier_rank phi else 0 in
-    let padding, pad_attempt =
-      if pad_count = 0 then (VSet.empty, 0)
-      else choose_padding ~avoid:adom ~attempt:0 pad_count
-    in
     let t =
       {
-        phi;
-        shape = shape_of phi;
-        cmp_free;
-        pad_count;
+        core =
+          Session.create ?cache_size ?gc_threshold (Ti_table.support tbl) phi;
+        cmp_free = not (Fo.has_cmp phi);
         tail;
-        mgr;
         memo = Bdd.prob_memo ();
-        gc_ran;
         tbl;
-        afacts_rev = List.rev facts;
-        alpha = Lineage.alphabet facts;
         weights = [||];
-        adom;
-        padding;
-        pad_attempt;
-        bdd = Bdd.fls mgr;
         dirty = ISet.empty;
         memo_valid = true;
         cached = None;
@@ -246,19 +126,16 @@ module Make (C : Prob.CARRIER) = struct
       }
     in
     rebuild_weights t;
-    let bdd = compile_full t in
-    Bdd.protect bdd;
-    t.bdd <- bdd;
     t
 
-  let query t = t.phi
+  let query t = Session.query t.core
   let table t = t.tbl
   let tail t = t.tail
   let epoch t = t.epoch
-  let padding t = VSet.elements t.padding
+  let padding t = Session.padding t.core
   let inverse t d = inverse_of t.tbl d
-  let live_nodes t = Bdd.node_count t.mgr
-  let diagram_size t = Bdd.size t.bdd
+  let live_nodes t = Bdd.node_count (Session.manager t.core)
+  let diagram_size t = Bdd.size (Session.root t.core)
 
   let patch t v target =
     t.weights.(v) <- weight_of target;
@@ -266,92 +143,32 @@ module Make (C : Prob.CARRIER) = struct
     Stats.incr c_patched;
     Patched
 
-  let recompile t =
-    (* Surviving node indices keep their memoized counts (weights of
-       existing variables are untouched on this path); a GC triggered by
-       the compilation itself is caught by [gc_ran] at the next fold. *)
-    set_root t (compile_full t);
+  let recompiled () =
     Stats.incr c_recompiled;
     Recompiled
 
-  let delta_join t kind xs matrix old_dom =
-    let k = List.length xs in
-    let dom_list = VSet.elements (VSet.union t.adom t.padding) in
-    let join =
-      match kind with Ch_exists -> Bdd.disj | Ch_forall -> Bdd.conj
-    in
-    (* Every [of_expr] is a GC safe point, so the running accumulator is
-       pinned join by join; the session root on [t.bdd] stays protected
-       until the publish. *)
-    let bdd =
-      let acc = ref t.bdd in
-      Bdd.protect !acc;
-      Fun.protect
-        ~finally:(fun () -> Bdd.release !acc)
-        (fun () ->
-          Seq.iter
-            (fun vals ->
-              let lin =
-                Lineage.of_formula t.alpha (List.combine xs vals) matrix
-              in
-              let d = Bdd.of_expr t.mgr lin in
-              let joined = join t.mgr !acc d in
-              Bdd.protect joined;
-              Bdd.release !acc;
-              acc := joined)
-            (fresh_tuples k dom_list old_dom);
-          !acc)
-    in
-    set_root t bdd;
-    Stats.incr c_extended;
-    Extended
-
-  (* A fact outside the alphabet, being set to a positive marginal. *)
-  let absorb_new_atom t f =
-    let args = fact_args f in
-    let touches_padding = List.exists (fun v -> VSet.mem v t.padding) args in
-    let fresh = List.exists (fun v -> not (VSet.mem v t.adom)) args in
-    let old_dom = VSet.union t.adom t.padding in
-    t.afacts_rev <- f :: t.afacts_rev;
-    t.alpha <- Lineage.alphabet (List.rev t.afacts_rev);
-    t.adom <- adom_union t.adom [ f ];
-    let v =
-      match Lineage.var_of_fact t.alpha f with
-      | Some v -> v
-      | None -> assert false
-    in
-    t.weights <- Array.append t.weights [| C.zero |];
-    t.weights.(v) <- weight_of (Ti_table.prob t.tbl f);
-    if touches_padding then begin
-      (* The fact turns a padding value live: re-choose and recompile. *)
-      let padding, attempt =
-        choose_padding ~avoid:t.adom ~attempt:(t.pad_attempt + 1) t.pad_count
-      in
-      t.padding <- padding;
-      t.pad_attempt <- attempt;
-      recompile t
-    end
-    else if not fresh then
-      (* All its values were already in the domain, so the old diagram
-         compiled this ground atom to False: only a recompile (in the
-         warm manager) can revive it. *)
-      recompile t
-    else
-      match t.shape with
-      | Chain (kind, xs, matrix) -> delta_join t kind xs matrix old_dom
-      | Opaque -> recompile t
+  (* A fact outside the alphabet, being set to a positive marginal.
+     Surviving node indices keep their memoized counts (weights of
+     existing variables are untouched on this path); a GC triggered by
+     the compilation itself is caught by [Session.gc_seen] at the next
+     fold. *)
+  let absorb_new_atom t f target =
+    let growth = Session.extend t.core [ f ] in
+    t.weights <- Array.append t.weights [| weight_of target |];
+    match growth with
+    | Session.Joined ->
+      Stats.incr c_extended;
+      Extended
+    | Session.Recompiled -> recompiled ()
 
   (* Comparison queries carry no padding and an exact active domain: any
      support change rebinds the alphabet and recompiles. *)
   let rebuild_exact t =
-    let facts = Ti_table.support t.tbl in
-    t.afacts_rev <- List.rev facts;
-    t.alpha <- Lineage.alphabet facts;
-    t.adom <- adom_union (VSet.of_list (Fo.constants t.phi)) facts;
+    Session.rebind t.core (Ti_table.support t.tbl);
     rebuild_weights t;
     t.memo_valid <- false;
     t.dirty <- ISet.empty;
-    recompile t
+    recompiled ()
 
   let apply t d =
     let f = delta_fact d in
@@ -367,16 +184,17 @@ module Make (C : Prob.CARRIER) = struct
          else Ti_table.add t.tbl f target);
       t.epoch <- t.epoch + 1;
       t.cached <- None;
+      let var = Lineage.var_of_fact (Session.alphabet t.core) f in
       if t.cmp_free then
-        match Lineage.var_of_fact t.alpha f with
+        match var with
         | Some v -> patch t v target
         | None ->
           (* [before = 0 <> target] here, so this is a genuine insert. *)
-          absorb_new_atom t f
+          absorb_new_atom t f target
       else if
         (not (Rational.is_zero before)) && not (Rational.is_zero target)
       then
-        match Lineage.var_of_fact t.alpha f with
+        match var with
         | Some v -> patch t v target
         | None -> assert false (* present fact, exact alphabet *)
       else rebuild_exact t
@@ -387,7 +205,7 @@ module Make (C : Prob.CARRIER) = struct
     | Some p -> p
     | None ->
       Stats.incr c_folds;
-      let full = (not t.memo_valid) || !(t.gc_ran) in
+      let full = (not t.memo_valid) || Session.gc_seen t.core in
       if full then Bdd.prob_memo_clear t.memo;
       let dirty =
         if full then fun _ -> true else fun v -> ISet.mem v t.dirty
@@ -399,12 +217,12 @@ module Make (C : Prob.CARRIER) = struct
             incr recomputed;
             let w = t.weights.(v) in
             C.add (C.mul w hi) (C.mul (C.compl w) lo))
-          t.bdd
+          (Session.root t.core)
       in
       Stats.add c_fold_nodes !recomputed;
       t.dirty <- ISet.empty;
       t.memo_valid <- true;
-      t.gc_ran := false;
+      Session.clear_gc_seen t.core;
       t.cached <- Some p;
       p
 end
@@ -423,48 +241,54 @@ module Bid = struct
   type t = {
     phi : Fo.t;
     cmp_free : bool;
-    pad_count : int;
     tail : float;
     mutable tbl : Bid_table.t;
     mutable adom : VSet.t;  (* grow-only for cmp-free queries *)
-    mutable padding : VSet.t;
+    mutable padding : Value.t list;
     mutable pad_attempt : int;
     mutable cached : Rational.t option;
     mutable epoch : int;
   }
+
+  let adom_of acc facts =
+    List.fold_left
+      (fun acc f -> List.fold_left (fun acc v -> VSet.add v acc) acc (Fact.args f))
+      acc facts
+
+  let choose_padding t ~attempt =
+    let padding, attempt =
+      Padding.choose ~avoid:(fun v -> VSet.mem v t.adom) ~attempt
+        (Padding.rank t.phi)
+    in
+    t.padding <- padding;
+    t.pad_attempt <- attempt
 
   let create ?(tail = 0.0) tbl phi =
     if Fo.free_vars phi <> [] then
       invalid_arg "Delta_eval.Bid: query must be a sentence";
     if not (tail >= 0.0 && tail < 1.0) then
       invalid_arg "Delta_eval.Bid: tail must lie in [0, 1)";
-    let cmp_free = not (Fo.has_cmp phi) in
-    let adom =
-      adom_union (VSet.of_list (Fo.constants phi)) (Bid_table.support tbl)
+    let t =
+      {
+        phi;
+        cmp_free = not (Fo.has_cmp phi);
+        tail;
+        tbl;
+        adom = adom_of (VSet.of_list (Fo.constants phi)) (Bid_table.support tbl);
+        padding = [];
+        pad_attempt = 0;
+        cached = None;
+        epoch = 0;
+      }
     in
-    let pad_count = if cmp_free then Fo.quantifier_rank phi else 0 in
-    let padding, pad_attempt =
-      if pad_count = 0 then (VSet.empty, 0)
-      else choose_padding ~avoid:adom ~attempt:0 pad_count
-    in
-    {
-      phi;
-      cmp_free;
-      pad_count;
-      tail;
-      tbl;
-      adom;
-      padding;
-      pad_attempt;
-      cached = None;
-      epoch = 0;
-    }
+    choose_padding t ~attempt:0;
+    t
 
   let query t = t.phi
   let table t = t.tbl
   let tail t = t.tail
   let epoch t = t.epoch
-  let padding t = VSet.elements t.padding
+  let padding t = t.padding
 
   (* Rebuild the block list with [fact]'s marginal set to [p] inside
      [block]; [None] rejections carry the reason. *)
@@ -522,21 +346,13 @@ module Bid = struct
     t.epoch <- t.epoch + 1;
     t.cached <- None;
     if t.cmp_free then begin
-      t.adom <- adom_union t.adom (Bid_table.support tbl);
-      if not (VSet.is_empty (VSet.inter t.adom t.padding)) then begin
-        let padding, attempt =
-          choose_padding ~avoid:t.adom ~attempt:(t.pad_attempt + 1)
-            t.pad_count
-        in
-        t.padding <- padding;
-        t.pad_attempt <- attempt
-      end
+      t.adom <- adom_of t.adom (Bid_table.support tbl);
+      if List.exists (fun v -> VSet.mem v t.adom) t.padding then
+        choose_padding t ~attempt:(t.pad_attempt + 1)
     end
     else
       t.adom <-
-        adom_union
-          (VSet.of_list (Fo.constants t.phi))
-          (Bid_table.support tbl)
+        adom_of (VSet.of_list (Fo.constants t.phi)) (Bid_table.support tbl)
 
   let apply t d =
     match d with
@@ -566,7 +382,7 @@ module Bid = struct
     | Some p -> p
     | None ->
       let domain =
-        if t.cmp_free then VSet.elements (VSet.union t.adom t.padding)
+        if t.cmp_free then VSet.elements t.adom @ t.padding
         else
           Fo_eval.evaluation_domain
             (Instance.of_list (Bid_table.support t.tbl))

@@ -164,7 +164,8 @@ let valuations domain k =
   in
   Seq.map List.rev (go k)
 
-let marginals_generic ~prob_sentence ~domain phi =
+let marginals ?cache_size ?gc_threshold ti phi =
+  let prob_sentence s = boolean ?cache_size ?gc_threshold ti s in
   let fvs = Fo.free_vars phi in
   let k = List.length fvs in
   if k = 0 then begin
@@ -174,7 +175,7 @@ let marginals_generic ~prob_sentence ~domain phi =
   else if k > 3 then
     invalid_arg "Query_eval.marginals: more than 3 free variables"
   else
-    valuations domain k
+    valuations (eval_domain_ti ti phi) k
     |> Seq.filter_map (fun vals ->
            let bindings = List.combine fvs vals in
            let grounded = Fo.substitute bindings phi in
@@ -183,16 +184,3 @@ let marginals_generic ~prob_sentence ~domain phi =
            else Some (Array.of_list vals, p))
     |> List.of_seq
     |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
-
-let marginals ?cache_size ?gc_threshold ti phi =
-  marginals_generic
-    ~prob_sentence:(fun s -> boolean ?cache_size ?gc_threshold ti s)
-    ~domain:(eval_domain_ti ti phi)
-    phi
-
-let marginals_finite pdb phi =
-  let universe = Instance.of_list (Finite_pdb.fact_universe pdb) in
-  marginals_generic
-    ~prob_sentence:(fun s -> boolean_finite pdb s)
-    ~domain:(Fo_eval.evaluation_domain universe phi [])
-    phi

@@ -113,8 +113,6 @@ val marginals :
     @raise Invalid_argument beyond 3 free variables (combinatorial
     safety valve). *)
 
-val marginals_finite : Finite_pdb.t -> Fo.t -> (Tuple.t * Rational.t) list
-
 (** {1 Generic engine over any carrier} *)
 
 module Make (C : Prob.CARRIER) : sig

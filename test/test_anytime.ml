@@ -81,6 +81,53 @@ let test_delta_path_matches_exact_truncations () =
         (Interval.contains s.Anytime.estimate (Rational.to_float exact)))
     steps
 
+let test_cmp_query_overlaps_approx () =
+  (* A Cmp query is evaluated unpadded, over the truncated semantics
+     Approx_eval uses: under the value order an inert string value
+     satisfies [x > 100], so a padded domain would push the answer
+     towards 1 while every truncation the source can certify keeps it
+     near 0.  Source: R(i+1) with p = 2^-(i+1). *)
+  let src () =
+    Fact_source.geometric ~first:Rational.half ~ratio:Rational.half
+      ~facts:(fun k -> r_fact (k + 1)) ()
+  in
+  let phi = parse "exists x. !R(x) & x > 100" in
+  let sess = Anytime.create ~eps:0.01 (src ()) phi in
+  let _ = Anytime.run sess in
+  let approx = Approx_eval.boolean (src ()) ~eps:0.01 phi in
+  let show iv = Printf.sprintf "[%g, %g]" (Interval.lo iv) (Interval.hi iv) in
+  match Interval.intersect (Anytime.bounds sess) approx.Approx_eval.bounds with
+  | Some _ -> ()
+  | None ->
+    Alcotest.failf "anytime %s and open %s are disjoint"
+      (show (Anytime.bounds sess)) (show approx.Approx_eval.bounds)
+
+let test_padding_rechosen_on_collision () =
+  (* The first prefix fact names the session's first padding value,
+     turning it live: the session must re-choose its padding, so every
+     answer still equals the padded from-scratch one — with inert values
+     [!(forall y. R(y))] always holds, without them it can fail. *)
+  let pad = Padding.candidate ~attempt:0 0 in
+  let facts = [ (Fact.make "R" [ pad ], q 1 2); (r_fact 1, q 1 4) ] in
+  let tbl = Ti_table.create facts in
+  List.iter
+    (fun text ->
+      let phi = parse text in
+      let sess = Anytime.create ~eps:0.001 (Fact_source.of_list facts) phi in
+      let _, steps = Anytime.run sess in
+      let final = List.nth steps (List.length steps - 1) in
+      let scratch =
+        Query_eval.boolean
+          ~extra_domain:(Padding.for_query (Ti_table.support tbl) phi)
+          tbl phi
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: estimate brackets padded from-scratch %s" text
+           (Rational.to_string scratch))
+        true
+        (Interval.contains final.Anytime.estimate (Rational.to_float scratch)))
+    [ "(exists x. R(x)) & !(forall y. R(y))"; "forall x. R(x)"; "exists x. !R(x)" ]
+
 (* ------------------------------------------------------------------ *)
 (* Cache reuse *)
 (* ------------------------------------------------------------------ *)
@@ -185,6 +232,10 @@ let () =
             test_contains_batch_estimate;
           Alcotest.test_case "delta path matches exact truncations" `Quick
             test_delta_path_matches_exact_truncations;
+          Alcotest.test_case "cmp query overlaps open" `Quick
+            test_cmp_query_overlaps_approx;
+          Alcotest.test_case "padding re-chosen on collision" `Quick
+            test_padding_rechosen_on_collision;
         ] );
       ( "reuse",
         [

@@ -231,6 +231,30 @@ let test_known_value_recompiles () =
        (Delta_eval.Exact.apply s (Insert (fact "S" [ 0 ], Rational.half))));
   Alcotest.check check_rat "joined answer" (q 1 4) (Delta_eval.Exact.prob s)
 
+let test_padding_rechosen_on_collision () =
+  (* Insert a fact naming the session's first padding value: the value
+     turns live, so the session must re-choose its padding (and
+     recompile) to keep equal to the padded from-scratch answer — with
+     inert values [!(forall y. R(y))] always holds. *)
+  let pad = Padding.candidate ~attempt:0 0 in
+  let ti = Ti_table.create [ (fact "R" [ 1 ], q 1 4) ] in
+  let phi = parse "(exists x. R(x)) & !(forall y. R(y))" in
+  let s = Delta_eval.Exact.create ti phi in
+  Alcotest.(check bool) "first candidate chosen" true
+    (List.exists (Value.equal pad) (Delta_eval.Exact.padding s));
+  let d = Delta_eval.Insert (Fact.make "R" [ pad ], Rational.half) in
+  Alcotest.(check string) "collision recompiles" "recompiled"
+    (Delta_eval.apply_kind_to_string (Delta_eval.Exact.apply s d));
+  Alcotest.(check bool) "padding re-chosen" false
+    (List.exists (Value.equal pad) (Delta_eval.Exact.padding s));
+  let tbl = Delta_eval.apply_table ti d in
+  Alcotest.check check_rat "session padding reproduces it"
+    (from_scratch s phi tbl) (Delta_eval.Exact.prob s);
+  Alcotest.check check_rat "equals padded from-scratch" (q 5 8)
+    (Query_eval.boolean
+       ~extra_domain:(Padding.for_query (Ti_table.support tbl) phi)
+       tbl phi)
+
 let test_delta_string_roundtrip () =
   List.iter
     (fun d ->
@@ -291,6 +315,8 @@ let () =
             test_fresh_value_extends;
           Alcotest.test_case "known value recompiles" `Quick
             test_known_value_recompiles;
+          Alcotest.test_case "padding re-chosen on collision" `Quick
+            test_padding_rechosen_on_collision;
           Alcotest.test_case "delta text roundtrip" `Quick
             test_delta_string_roundtrip;
           Alcotest.test_case "bid rejections" `Quick test_bid_rejections;

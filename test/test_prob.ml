@@ -1,8 +1,7 @@
-(* Tests for the probability carriers: Interval, Log_domain and the three
+(* Tests for the probability carriers: Interval and the three
    Prob.CARRIER implementations. *)
 
 module I = Interval
-module L = Log_domain
 module Q = Rational
 
 (* ------------------------------------------------------------------ *)
@@ -93,47 +92,6 @@ let test_interval_compl () =
   let c = I.compl (I.make 0.25 0.75) in
   Alcotest.(check bool) "compl encloses" true
     (I.contains c 0.25 && I.contains c 0.75)
-
-(* ------------------------------------------------------------------ *)
-(* Log domain *)
-(* ------------------------------------------------------------------ *)
-
-let test_log_basic () =
-  Alcotest.(check (float 1e-12)) "one" 1.0 (L.to_float L.one);
-  Alcotest.(check (float 0.0)) "zero" 0.0 (L.to_float L.zero);
-  Alcotest.(check bool) "is_zero" true (L.is_zero L.zero);
-  Alcotest.(check (float 1e-12)) "mul" 0.06
-    (L.to_float (L.mul (L.of_float 0.2) (L.of_float 0.3)));
-  Alcotest.(check (float 1e-12)) "add" 0.5
-    (L.to_float (L.add (L.of_float 0.2) (L.of_float 0.3)));
-  Alcotest.(check (float 1e-12)) "sub" 0.1
-    (L.to_float (L.sub (L.of_float 0.3) (L.of_float 0.2)));
-  Alcotest.(check (float 1e-12)) "div" 1.5
-    (L.to_float (L.div (L.of_float 0.3) (L.of_float 0.2)))
-
-let test_log_extreme_products () =
-  (* 10^4 factors of 0.5: far below float underflow, fine in log space. *)
-  let p = List.init 10_000 (fun _ -> L.of_float 0.5) in
-  let prod = List.fold_left L.mul L.one p in
-  Alcotest.(check (float 1.0)) "log2 scale" (-10_000.0 *. log 2.0)
-    (L.to_log prod);
-  Alcotest.(check (float 0.0)) "underflows to 0 as float" 0.0 (L.to_float prod)
-
-let test_log_product_compl () =
-  (* prod (1 - 2^-i) for i = 1..30 ~ 0.288788... *)
-  let ps = List.init 30 (fun i -> 0.5 ** float_of_int (i + 1)) in
-  Alcotest.(check (float 1e-9)) "euler-ish product" 0.2887880951
-    (L.to_float (L.product_compl ps));
-  Alcotest.check_raises "bad p" (Invalid_argument "Log_domain.product_compl")
-    (fun () -> ignore (L.product_compl [ 1.5 ]))
-
-let test_log_errors () =
-  Alcotest.check_raises "neg" (Invalid_argument "Log_domain.of_float")
-    (fun () -> ignore (L.of_float (-1.0)));
-  Alcotest.check_raises "sub neg" (Invalid_argument "Log_domain.sub: negative result")
-    (fun () -> ignore (L.sub (L.of_float 0.1) (L.of_float 0.2)));
-  Alcotest.check_raises "div 0" Division_by_zero (fun () ->
-      ignore (L.div L.one L.zero))
 
 (* ------------------------------------------------------------------ *)
 (* Carriers *)
@@ -256,16 +214,6 @@ let props =
       (fun (a, b) ->
         let h = I.hull (I.point a) (I.point b) in
         I.width h >= 0.0 && I.contains h a && I.contains h b);
-    QCheck.Test.make ~name:"log mul = float mul" ~count:300
-      QCheck.(pair arb_unit arb_unit)
-      (fun (a, b) ->
-        Prob.close ~eps:1e-12 (a *. b)
-          (L.to_float (L.mul (L.of_float a) (L.of_float b))));
-    QCheck.Test.make ~name:"log add = float add" ~count:300
-      QCheck.(pair arb_unit arb_unit)
-      (fun (a, b) ->
-        Prob.close ~eps:1e-9 (a +. b)
-          (L.to_float (L.add (L.of_float a) (L.of_float b))));
     QCheck.Test.make ~name:"rational carrier assoc exactly" ~count:200
       QCheck.(triple (int_range 0 100) (int_range 0 100) (int_range 0 100))
       (fun (a, b, c) ->
@@ -289,13 +237,6 @@ let () =
           Alcotest.test_case "set ops" `Quick test_interval_set_ops;
           Alcotest.test_case "clamp01" `Quick test_interval_clamp;
           Alcotest.test_case "compl" `Quick test_interval_compl;
-        ] );
-      ( "log-domain",
-        [
-          Alcotest.test_case "basic" `Quick test_log_basic;
-          Alcotest.test_case "extreme products" `Quick test_log_extreme_products;
-          Alcotest.test_case "product_compl" `Quick test_log_product_compl;
-          Alcotest.test_case "errors" `Quick test_log_errors;
         ] );
       ( "carriers",
         [

@@ -1,5 +1,5 @@
-(* Tests for the relational substrate: values, schemas, facts, instances
-   and the deterministic algebra. *)
+(* Tests for the relational substrate: values, schemas, facts and
+   instances. *)
 
 let i n = Value.Int n
 let s x = Value.Str x
@@ -202,50 +202,6 @@ let test_instance_subsets () =
     (List.exists (fun d -> Instance.equal d inst) subs)
 
 (* ------------------------------------------------------------------ *)
-(* Algebra *)
-(* ------------------------------------------------------------------ *)
-
-let test_algebra_select_project () =
-  let open Algebra in
-  let r = eval_list schema inst (Project ([ 1 ], Select_eq (0, i 1, Rel "R"))) in
-  Alcotest.(check int) "one tuple" 1 (List.length r);
-  Alcotest.(check bool) "is (2)" true (Tuple.equal (List.hd r) [| i 2 |])
-
-let test_algebra_join () =
-  let open Algebra in
-  (* R(x,y) joined with S(y): pairs whose second column is in S *)
-  let r = eval_list schema inst (Join ([ (1, 0) ], Rel "R", Rel "S")) in
-  Alcotest.(check int) "join size" 1 (List.length r);
-  Alcotest.(check bool) "join tuple" true
-    (Tuple.equal (List.hd r) [| i 1; i 2; i 2 |])
-
-let test_algebra_set_ops () =
-  let open Algebra in
-  let u = eval_list schema inst (Union (Project ([ 0 ], Rel "R"), Rel "S")) in
-  Alcotest.(check int) "union" 2 (List.length u);
-  let d = eval_list schema inst (Diff (Project ([ 0 ], Rel "R"), Rel "S")) in
-  Alcotest.(check int) "diff" 1 (List.length d);
-  let n = eval_list schema inst (Inter (Project ([ 1 ], Rel "R"), Rel "S")) in
-  Alcotest.(check int) "inter" 1 (List.length n)
-
-let test_algebra_product_const () =
-  let open Algebra in
-  let p = eval_list schema inst (Product (Rel "S", Const [ [| s "k" |]; [| s "l" |] ])) in
-  Alcotest.(check int) "product" 2 (List.length p)
-
-let test_algebra_errors () =
-  let open Algebra in
-  Alcotest.check_raises "arity mismatch"
-    (Invalid_argument "Algebra: set operation arity mismatch") (fun () ->
-      ignore (eval schema inst (Union (Rel "R", Rel "S"))));
-  Alcotest.check_raises "bad projection"
-    (Invalid_argument "Algebra: projection column out of range") (fun () ->
-      ignore (eval schema inst (Project ([ 5 ], Rel "R"))));
-  Alcotest.check_raises "unknown rel"
-    (Invalid_argument "Schema: unknown relation Q") (fun () ->
-      ignore (eval schema inst (Rel "Q")))
-
-(* ------------------------------------------------------------------ *)
 (* Properties *)
 (* ------------------------------------------------------------------ *)
 
@@ -315,14 +271,6 @@ let () =
           Alcotest.test_case "disjoint union" `Quick test_instance_disjoint_union;
           Alcotest.test_case "intersects (E_F)" `Quick test_instance_intersects;
           Alcotest.test_case "subsets" `Quick test_instance_subsets;
-        ] );
-      ( "algebra",
-        [
-          Alcotest.test_case "select/project" `Quick test_algebra_select_project;
-          Alcotest.test_case "join" `Quick test_algebra_join;
-          Alcotest.test_case "set ops" `Quick test_algebra_set_ops;
-          Alcotest.test_case "product/const" `Quick test_algebra_product_const;
-          Alcotest.test_case "errors" `Quick test_algebra_errors;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest props);
     ]
